@@ -40,6 +40,11 @@ class RecoveryError(ReproError):
     """Post-crash recovery found a malformed or inconsistent log."""
 
 
+class CorruptStructureError(ReproError):
+    """A walk over a heap data structure revisited a node: its pointers
+    form a cycle, so the walk would otherwise never end."""
+
+
 class PowerFailure(ReproError):
     """A simulated power failure cut the machine mid-operation.
 

@@ -57,8 +57,8 @@ class ExperimentSpec:
     #: Extra cache shrink relative to footprints (contention compensation;
     #: see :meth:`repro.params.MachineConfig.scaled`).  0 means "scale / 16".
     cache_scale: float = 0.0
-    #: Sim-kernel engine: "scalar", "vectorized", "auto", or None for the
-    #: process default (see :mod:`repro.kernels`).  Engines are bit-identical,
+    #: Sim-kernel engine: "scalar", "vectorized", "batched", "auto", or None
+    #: for the process default (see :mod:`repro.kernels`).  Engines are bit-identical,
     #: so this knob never changes results — it is excluded from the result
     #: cache fingerprint for exactly that reason.
     engine: Optional[str] = None

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..params import LINE_SIZE, LatencyConfig, MemoryConfig
+from ..errors import AddressError
+from ..params import LINE_SIZE, LatencyConfig, MemoryConfig, WORD_SIZE
 from .address import AddressSpace, DRAM_BASE, MemoryKind, NVM_BASE, line_of
 
 #: Inlined :func:`line_of` for the per-access controller entry points.
 _LINE_MASK = ~(LINE_SIZE - 1)
+#: Inlined word alignment of :meth:`BackingStore.load`/``store``.
+_WORD_MASK = ~(WORD_SIZE - 1)
 from .backend import BackingStore
 from .channel import MemoryChannel
 from .dram_cache import DramCache
@@ -42,6 +45,11 @@ class MemoryController:
         self._nvm_end = self.address_space.nvm_end
         self._dc_contains = self.dram_cache.contains
         self._dc_lookup = self.dram_cache.lookup
+        # The backing stores' word dicts, for the functional word accesses
+        # below (pre-fill and verification make millions of them).  Both
+        # stores only ever mutate their dict in place, wipe() included.
+        self._dram_words = self.dram._words
+        self._nvm_words = self.nvm._words
         if config.model_bandwidth:
             self.dram_channel: Optional[MemoryChannel] = MemoryChannel(
                 "dram", latency.dram_line_transfer_ns
@@ -121,22 +129,29 @@ class MemoryController:
         return base + channel.request(now_ns)
 
     def load_word(self, addr: int) -> int:
-        """Architecturally visible value of a word, honouring the DRAM cache."""
+        """Architecturally visible value of a word, honouring the DRAM cache.
+
+        Reads the backing-store dicts directly: exactly
+        :meth:`BackingStore.load` without its call frame.
+        """
         if NVM_BASE <= addr < self._nvm_end:
             entry = self._dc_lookup(addr & _LINE_MASK)
             if entry is not None and addr in entry.words:
                 return entry.words[addr]
-            return self.nvm.load(addr)
+            return self._nvm_words.get(addr & _WORD_MASK, 0)
         if DRAM_BASE <= addr < self._dram_end:
-            return self.dram.load(addr)
-        return self.nvm.load(addr)
+            return self._dram_words.get(addr & _WORD_MASK, 0)
+        return self._nvm_words.get(addr & _WORD_MASK, 0)
 
     def store_word(self, addr: int, value: int) -> None:
         """Non-transactional in-place store.
 
         An NVM store must update a resident DRAM-cache line rather than the
         backing NVM, or the stale cached copy would shadow the new value
-        until it drained.
+        until it drained.  DRAM stores write the backing dict directly
+        (exactly :meth:`BackingStore.store`); in-place NVM stores keep the
+        method call, which :class:`~repro.mem.wear.WearTracker` wraps to
+        count them.
         """
         if NVM_BASE <= addr < self._nvm_end:
             if self.on_nontx_nvm_store is not None:
@@ -147,8 +162,12 @@ class MemoryController:
                 return
             self.nvm.store(addr, value)
             return
-        if self.address_space.is_dram(addr):
-            self.dram.store(addr, value)
+        if DRAM_BASE <= addr < self._dram_end:
+            if not isinstance(value, int):
+                raise AddressError(
+                    f"stores take int values, got {type(value).__name__}"
+                )
+            self._dram_words[addr & _WORD_MASK] = value
             return
         self.nvm.store(addr, value)
 

@@ -110,12 +110,18 @@ class DramCache:
         self.fills += 1
         entry = self._entries.get(line_addr)
         if entry is not None and not entry.invalid:
+            drained = 0
+            if entry.committed and not committed:
+                # Committed data that never drained is about to share its
+                # entry with an uncommitted owner, whose abort invalidates
+                # the whole entry.  Write the committed image back first.
+                drained = self._write_back(entry)
             entry.words.update(words)
             entry.tx_id = tx_id
             entry.committed = committed
             self._entries.move_to_end(line_addr)
             self._stamp(entry)
-            return 0
+            return drained
         replacing_invalid = entry is not None
         entry = DramCacheEntry(line_addr, dict(words), tx_id, committed)
         self._entries[line_addr] = entry
@@ -181,6 +187,9 @@ class DramCache:
         entry = self._entries.pop(line_addr)
         if entry.invalid:
             return 0
+        return self._write_back(entry)
+
+    def _write_back(self, entry: DramCacheEntry) -> int:
         self._nvm.store_line(entry.words)
         self.drains += 1
         return 1

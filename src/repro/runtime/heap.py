@@ -19,7 +19,7 @@ from ..params import WORD_SIZE
 
 
 class TxHeap:
-    """Region allocators for both memory kinds plus layout helpers."""
+    """Region allocators for both memory kinds."""
 
     def __init__(self, controller: MemoryController) -> None:
         space = controller.address_space
@@ -46,8 +46,3 @@ class TxHeap:
 
     def free_words(self, addr: int, nwords: int, kind: MemoryKind) -> None:
         self.free(addr, nwords * WORD_SIZE, kind)
-
-    @staticmethod
-    def field(base: int, index: int) -> int:
-        """Address of the ``index``-th 64-bit field of an object at ``base``."""
-        return base + index * WORD_SIZE

@@ -51,8 +51,8 @@ class System:
     ) -> None:
         self.machine = machine or MachineConfig.scaled(1 / 16)
         self.htm_config = htm_config or HTMConfig()
-        # Sim-kernel engine ("scalar"/"vectorized"/"auto"/None=process
-        # default): one kit of kernel classes injected everywhere, so the
+        # Sim-kernel engine ("scalar"/"vectorized"/"batched"/"auto"/None =
+        # process default): one kit of kernel classes injected everywhere, so the
         # layers below never import repro.kernels themselves.  Note
         # ``self.engine`` is the *event* engine; the kernel knob lives in
         # ``engine_name`` / ``kernel_kit``.

@@ -66,13 +66,11 @@ class RawContext(MemoryContext):
     """
 
     def __init__(self, controller) -> None:
-        self._controller = controller
-
-    def read_word(self, addr: int) -> int:
-        return self._controller.load_word(addr)
-
-    def write_word(self, addr: int, value: int) -> None:
-        self._controller.store_word(addr, value)
+        # Bound straight to the controller's functional accessors: pre-fill
+        # and verification make millions of word accesses, and a wrapper
+        # method would add a Python frame to each.
+        self.read_word = controller.load_word
+        self.write_word = controller.store_word
 
 
 class TxContext(MemoryContext):

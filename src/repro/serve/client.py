@@ -119,6 +119,10 @@ class ServeClient:
         done: Dict[int, bool] = {}
         deadline = None if timeout_s is None else wall_now() + timeout_s
         while True:
+            # Status first: a point it counts as done is already in the
+            # cache, so the scan below streams it before a complete status
+            # returns (scanning first could miss a point that lands between).
+            status = self.queue.status(campaign_id)
             newly: List[Tuple[int, str]] = []
             for record in records:
                 if done.get(record.index):
@@ -126,7 +130,6 @@ class ServeClient:
                 if self.queue.cache.has_fingerprint(record.fingerprint):
                     done[record.index] = True
                     newly.append((record.index, record.display_label))
-            status = self.queue.status(campaign_id)
             if progress is not None and (newly or status.complete):
                 progress(status, newly)
             if status.complete:

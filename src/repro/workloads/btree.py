@@ -8,9 +8,11 @@ split dirties three nodes).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..errors import CorruptStructureError
 from ..mem.address import MemoryKind
+from ..params import WORD_SIZE
 from ..runtime.txapi import MemoryContext
 from .base import PayloadPool, Workload, WorkloadParams, write_payload
 
@@ -22,17 +24,19 @@ _T = 4
 _MAX_KEYS = 2 * _T - 1
 _MAX_CHILDREN = 2 * _T
 
-# Node layout (words).
-_N_LEAF = 0
-_N_NKEYS = 1
-_N_KEYS = 2                       # keys: [2, 2+_MAX_KEYS)
-_N_VALUES = _N_KEYS + _MAX_KEYS   # values: parallel to keys
-_N_CHILDREN = _N_VALUES + _MAX_KEYS
-_NODE_WORDS = _N_CHILDREN + _MAX_CHILDREN
+# Node layout (words): leaf flag, key count, keys, values parallel to the
+# keys, children.  Field constants are byte offsets from the node's base;
+# slot ``i`` of an array field is at ``+ i * WORD_SIZE``.
+_N_LEAF = 0 * WORD_SIZE
+_N_NKEYS = 1 * WORD_SIZE
+_N_KEYS = 2 * WORD_SIZE
+_N_VALUES = _N_KEYS + _MAX_KEYS * WORD_SIZE
+_N_CHILDREN = _N_VALUES + _MAX_KEYS * WORD_SIZE
+_NODE_WORDS = _N_CHILDREN // WORD_SIZE + _MAX_CHILDREN
 
 # Header layout (words): root pointer, element count.
-_H_ROOT = 0
-_H_SIZE = 1
+_H_ROOT = 0 * WORD_SIZE
+_H_SIZE = 1 * WORD_SIZE
 
 
 class TxBTree:
@@ -50,59 +54,61 @@ class TxBTree:
         base = heap.alloc_words(2, kind)
         tree = cls(heap, base, kind)
         root = tree._new_node(ctx, leaf=True)
-        ctx.write_word(heap.field(base, _H_ROOT), root)
-        ctx.write_word(heap.field(base, _H_SIZE), 0)
+        ctx.write_word(base + _H_ROOT, root)
+        ctx.write_word(base + _H_SIZE, 0)
         return tree
 
     # -- node helpers ------------------------------------------------------------
 
     def _new_node(self, ctx: MemoryContext, leaf: bool) -> int:
         node = self.heap.alloc_words(_NODE_WORDS, self.kind)
-        ctx.write_word(self.heap.field(node, _N_LEAF), 1 if leaf else 0)
-        ctx.write_word(self.heap.field(node, _N_NKEYS), 0)
+        ctx.write_word(node + _N_LEAF, 1 if leaf else 0)
+        ctx.write_word(node + _N_NKEYS, 0)
         return node
 
     def _key(self, ctx, node, i) -> int:
-        return ctx.read_word(self.heap.field(node, _N_KEYS + i))
+        return ctx.read_word(node + _N_KEYS + i * WORD_SIZE)
 
     def _value(self, ctx, node, i) -> int:
-        return ctx.read_word(self.heap.field(node, _N_VALUES + i))
+        return ctx.read_word(node + _N_VALUES + i * WORD_SIZE)
 
     def _child(self, ctx, node, i) -> int:
-        return ctx.read_word(self.heap.field(node, _N_CHILDREN + i))
+        return ctx.read_word(node + _N_CHILDREN + i * WORD_SIZE)
 
     def _set_key(self, ctx, node, i, v) -> None:
-        ctx.write_word(self.heap.field(node, _N_KEYS + i), v)
+        ctx.write_word(node + _N_KEYS + i * WORD_SIZE, v)
 
     def _set_value(self, ctx, node, i, v) -> None:
-        ctx.write_word(self.heap.field(node, _N_VALUES + i), v)
+        ctx.write_word(node + _N_VALUES + i * WORD_SIZE, v)
 
     def _set_child(self, ctx, node, i, v) -> None:
-        ctx.write_word(self.heap.field(node, _N_CHILDREN + i), v)
+        ctx.write_word(node + _N_CHILDREN + i * WORD_SIZE, v)
 
     def _nkeys(self, ctx, node) -> int:
-        return ctx.read_word(self.heap.field(node, _N_NKEYS))
+        return ctx.read_word(node + _N_NKEYS)
 
     def _set_nkeys(self, ctx, node, n) -> None:
-        ctx.write_word(self.heap.field(node, _N_NKEYS), n)
+        ctx.write_word(node + _N_NKEYS, n)
 
     def _is_leaf(self, ctx, node) -> bool:
-        return ctx.read_word(self.heap.field(node, _N_LEAF)) == 1
+        return ctx.read_word(node + _N_LEAF) == 1
 
     # -- search ---------------------------------------------------------------------
 
     def get(self, ctx: MemoryContext, key: int) -> Optional[int]:
-        node = ctx.read_word(self.heap.field(self.base, _H_ROOT))
+        read = ctx.read_word
+        node = read(self.base + _H_ROOT)
         while True:
-            n = self._nkeys(ctx, node)
+            n = read(node + _N_NKEYS)
+            keys = node + _N_KEYS
             i = 0
-            while i < n and key > self._key(ctx, node, i):
+            while i < n and key > read(keys + i * WORD_SIZE):
                 i += 1
-            if i < n and key == self._key(ctx, node, i):
-                return self._value(ctx, node, i)
-            if self._is_leaf(ctx, node):
+            if i < n and key == read(keys + i * WORD_SIZE):
+                return read(node + _N_VALUES + i * WORD_SIZE)
+            if read(node + _N_LEAF) == 1:
                 return None
-            node = self._child(ctx, node, i)
+            node = read(node + _N_CHILDREN + i * WORD_SIZE)
 
     def scan(
         self, ctx: MemoryContext, lo: int, hi: int
@@ -114,18 +120,21 @@ class TxBTree:
         and a *footprint* property: an unpruned walk would put the entire
         tree in the transaction's read set.
         """
+        read = ctx.read_word
         out: List[Tuple[int, int]] = []
-        root = ctx.read_word(self.heap.field(self.base, _H_ROOT))
-        stack = [root]
+        stack = [read(self.base + _H_ROOT)]
         while stack:
             node = stack.pop()
-            n = self._nkeys(ctx, node)
-            keys = [self._key(ctx, node, i) for i in range(n)]
+            n = read(node + _N_NKEYS)
+            key_slots = node + _N_KEYS
+            keys = [read(key_slots + i * WORD_SIZE) for i in range(n)]
+            values = node + _N_VALUES
             for i, key in enumerate(keys):
                 if lo <= key <= hi:
-                    out.append((key, self._value(ctx, node, i)))
-            if self._is_leaf(ctx, node):
+                    out.append((key, read(values + i * WORD_SIZE)))
+            if read(node + _N_LEAF) == 1:
                 continue
+            children = node + _N_CHILDREN
             for i in range(n + 1):
                 # Child i holds keys in (keys[i-1], keys[i]).
                 child_lo = keys[i - 1] if i > 0 else None
@@ -134,79 +143,96 @@ class TxBTree:
                     continue
                 if child_hi is not None and child_hi < lo:
                     continue
-                stack.append(self._child(ctx, node, i))
+                stack.append(read(children + i * WORD_SIZE))
         return sorted(out)
 
     # -- insert -----------------------------------------------------------------------
 
     def insert(self, ctx: MemoryContext, key: int, value: int) -> bool:
         """Insert or update; returns True if the key was new."""
-        header_root = self.heap.field(self.base, _H_ROOT)
+        header_root = self.base + _H_ROOT
         root = ctx.read_word(header_root)
-        if self._nkeys(ctx, root) == _MAX_KEYS:
+        if ctx.read_word(root + _N_NKEYS) == _MAX_KEYS:
             new_root = self._new_node(ctx, leaf=False)
-            self._set_child(ctx, new_root, 0, root)
+            ctx.write_word(new_root + _N_CHILDREN, root)
             self._split_child(ctx, new_root, 0)
             ctx.write_word(header_root, new_root)
             root = new_root
         return self._insert_nonfull(ctx, root, key, value)
 
     def _insert_nonfull(self, ctx, node, key, value) -> bool:
+        read = ctx.read_word
+        write = ctx.write_word
         while True:
-            n = self._nkeys(ctx, node)
+            n = read(node + _N_NKEYS)
+            keys = node + _N_KEYS
             i = 0
-            while i < n and key > self._key(ctx, node, i):
+            while i < n and key > read(keys + i * WORD_SIZE):
                 i += 1
-            if i < n and key == self._key(ctx, node, i):
-                self._set_value(ctx, node, i, value)
+            if i < n and key == read(keys + i * WORD_SIZE):
+                write(node + _N_VALUES + i * WORD_SIZE, value)
                 return False
-            if self._is_leaf(ctx, node):
+            if read(node + _N_LEAF) == 1:
+                values = node + _N_VALUES
                 for j in range(n, i, -1):
-                    self._set_key(ctx, node, j, self._key(ctx, node, j - 1))
-                    self._set_value(ctx, node, j, self._value(ctx, node, j - 1))
-                self._set_key(ctx, node, i, key)
-                self._set_value(ctx, node, i, value)
-                self._set_nkeys(ctx, node, n + 1)
+                    slot = j * WORD_SIZE
+                    write(keys + slot, read(keys + slot - WORD_SIZE))
+                    write(values + slot, read(values + slot - WORD_SIZE))
+                write(keys + i * WORD_SIZE, key)
+                write(values + i * WORD_SIZE, value)
+                write(node + _N_NKEYS, n + 1)
                 return True
-            child = self._child(ctx, node, i)
-            if self._nkeys(ctx, child) == _MAX_KEYS:
+            child = read(node + _N_CHILDREN + i * WORD_SIZE)
+            if read(child + _N_NKEYS) == _MAX_KEYS:
                 self._split_child(ctx, node, i)
-                pivot = self._key(ctx, node, i)
+                pivot = read(keys + i * WORD_SIZE)
                 if key == pivot:
-                    self._set_value(ctx, node, i, value)
+                    write(node + _N_VALUES + i * WORD_SIZE, value)
                     return False
                 if key > pivot:
                     i += 1
-            node = self._child(ctx, node, i)
+            node = read(node + _N_CHILDREN + i * WORD_SIZE)
 
     def _split_child(self, ctx, parent, index) -> None:
-        child = self._child(ctx, parent, index)
-        sibling = self._new_node(ctx, leaf=self._is_leaf(ctx, child))
+        read = ctx.read_word
+        write = ctx.write_word
+        keys = parent + _N_KEYS
+        values = parent + _N_VALUES
+        children = parent + _N_CHILDREN
+        child = read(children + index * WORD_SIZE)
+        sibling = self._new_node(ctx, leaf=read(child + _N_LEAF) == 1)
         # Move the top t-1 keys (and children) of `child` into `sibling`.
-        for j in range(_T - 1):
-            self._set_key(ctx, sibling, j, self._key(ctx, child, j + _T))
-            self._set_value(ctx, sibling, j, self._value(ctx, child, j + _T))
-        if not self._is_leaf(ctx, child):
-            for j in range(_T):
-                self._set_child(ctx, sibling, j, self._child(ctx, child, j + _T))
-        self._set_nkeys(ctx, sibling, _T - 1)
-        self._set_nkeys(ctx, child, _T - 1)
+        upper = _T * WORD_SIZE
+        for slot in range(0, (_T - 1) * WORD_SIZE, WORD_SIZE):
+            write(sibling + _N_KEYS + slot, read(child + _N_KEYS + upper + slot))
+            write(sibling + _N_VALUES + slot, read(child + _N_VALUES + upper + slot))
+        if read(child + _N_LEAF) != 1:
+            for slot in range(0, _T * WORD_SIZE, WORD_SIZE):
+                write(
+                    sibling + _N_CHILDREN + slot,
+                    read(child + _N_CHILDREN + upper + slot),
+                )
+        write(sibling + _N_NKEYS, _T - 1)
+        write(child + _N_NKEYS, _T - 1)
         # Shift the parent to make room for the median.
-        n = self._nkeys(ctx, parent)
+        n = read(parent + _N_NKEYS)
         for j in range(n, index, -1):
-            self._set_key(ctx, parent, j, self._key(ctx, parent, j - 1))
-            self._set_value(ctx, parent, j, self._value(ctx, parent, j - 1))
-            self._set_child(ctx, parent, j + 1, self._child(ctx, parent, j))
-        self._set_key(ctx, parent, index, self._key(ctx, child, _T - 1))
-        self._set_value(ctx, parent, index, self._value(ctx, child, _T - 1))
-        self._set_child(ctx, parent, index + 1, sibling)
-        self._set_nkeys(ctx, parent, n + 1)
+            slot = j * WORD_SIZE
+            write(keys + slot, read(keys + slot - WORD_SIZE))
+            write(values + slot, read(values + slot - WORD_SIZE))
+            write(children + slot + WORD_SIZE, read(children + slot))
+        median = (_T - 1) * WORD_SIZE
+        slot = index * WORD_SIZE
+        write(keys + slot, read(child + _N_KEYS + median))
+        write(values + slot, read(child + _N_VALUES + median))
+        write(children + slot + WORD_SIZE, sibling)
+        write(parent + _N_NKEYS, n + 1)
 
     # -- delete -----------------------------------------------------------------------
 
     def delete(self, ctx: MemoryContext, key: int) -> bool:
         """CLRS B-tree deletion with proactive borrow/merge on descent."""
-        header_root = self.heap.field(self.base, _H_ROOT)
+        header_root = self.base + _H_ROOT
         root = ctx.read_word(header_root)
         if self.get(ctx, key) is None:
             return False
@@ -354,30 +380,79 @@ class TxBTree:
 
     # -- verification --------------------------------------------------------------------
 
-    def size(self, ctx: MemoryContext) -> int:
-        """Element count, by walking (no transactional hot counter)."""
-        return len(self.keys(ctx))
+    def _walk(self, ctx: MemoryContext) -> Tuple[List[Tuple[int, int]], Set[int]]:
+        """In-order ``(key, value)`` pairs, and the depths of the leaves.
+
+        The one walk behind :meth:`items` and :meth:`check_integrity`.  It
+        raises :class:`CorruptStructureError` on revisiting a node (a child
+        pointer cycle) or on a key count no node can hold, so a corrupted
+        tree ends the walk instead of growing it without bound.
+        """
+        read = ctx.read_word
+        items: List[Tuple[int, int]] = []
+        leaf_depths: Set[int] = set()
+        seen: Set[int] = set()
+        # Frames (node, depth, i, n): i < 0 enters the node; i >= 1 resumes
+        # it after child i-1, emitting key i-1 before descending child i.
+        stack = [(read(self.base + _H_ROOT), 0, -1, 0)]
+        while stack:
+            node, depth, i, n = stack.pop()
+            keys = node + _N_KEYS
+            values = node + _N_VALUES
+            if i < 0:
+                if node in seen:
+                    raise CorruptStructureError(f"B-tree cycle at {node:#x}")
+                seen.add(node)
+                n = read(node + _N_NKEYS)
+                if not 0 <= n <= _MAX_KEYS:
+                    raise CorruptStructureError(
+                        f"B-tree node {node:#x} holds {n} keys"
+                    )
+                if read(node + _N_LEAF) == 1:
+                    leaf_depths.add(depth)
+                    for j in range(n):
+                        slot = j * WORD_SIZE
+                        items.append((read(keys + slot), read(values + slot)))
+                    continue
+                i = 0
+            else:
+                slot = (i - 1) * WORD_SIZE
+                items.append((read(keys + slot), read(values + slot)))
+            if i < n:
+                stack.append((node, depth, i + 1, n))
+            child = read(node + _N_CHILDREN + i * WORD_SIZE)
+            stack.append((child, depth + 1, -1, 0))
+        return items, leaf_depths
+
+    def items(self, ctx: MemoryContext) -> List[Tuple[int, int]]:
+        """Every ``(key, value)`` pair, in key order for an intact tree."""
+        return self._walk(ctx)[0]
 
     def keys(self, ctx: MemoryContext) -> List[int]:
-        return [k for k, _ in self.scan(ctx, -(2**62), 2**62)]
+        return [key for key, _ in self._walk(ctx)[0]]
+
+    def size(self, ctx: MemoryContext) -> int:
+        """Element count, by walking (no transactional hot counter)."""
+        return len(self._walk(ctx)[0])
+
+    def verified_items(self, ctx: MemoryContext) -> Optional[List[Tuple[int, int]]]:
+        """:meth:`items` if the tree is intact, else ``None`` — one walk.
+
+        Intact means: acyclic; keys strictly ascending in order (so unique,
+        and every key reachable by :meth:`get`); uniform leaf depth.
+        """
+        try:
+            items, leaf_depths = self._walk(ctx)
+        except CorruptStructureError:
+            return None
+        if len(leaf_depths) > 1:
+            return None
+        if any(a[0] >= b[0] for a, b in zip(items, items[1:])):
+            return None
+        return items
 
     def check_integrity(self, ctx: MemoryContext) -> bool:
-        """Keys in order and unique; uniform leaf depth; size consistent."""
-        keys = self.keys(ctx)
-        if keys != sorted(keys) or len(keys) != len(set(keys)):
-            return False
-        root = ctx.read_word(self.heap.field(self.base, _H_ROOT))
-        depths = set()
-        stack = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if self._is_leaf(ctx, node):
-                depths.add(depth)
-                continue
-            n = self._nkeys(ctx, node)
-            for i in range(n + 1):
-                stack.append((self._child(ctx, node, i), depth + 1))
-        return len(depths) <= 1
+        return self.verified_items(ctx) is not None
 
 
 class BTreeWorkload(Workload):

@@ -130,13 +130,18 @@ class DualKVWorkload(Workload):
         return body
 
     def verify(self) -> bool:
-        """Both maps intact, the NVM map caught up with the DRAM map."""
-        if not self.dram_map.check_integrity(self.raw):
-            return False
-        if not self.nvm_map.check_integrity(self.raw):
-            return False
+        """Both maps intact, the NVM map caught up with the DRAM map.
+
+        The maps hold different payload blocks (one pool per medium), so
+        they must agree on keys only.  One walk per map: each integrity
+        check makes its keys unique, so comparing key sets loses nothing.
+        """
         if self.crl:
             return False  # background threads must drain the log
-        return sorted(self.dram_map.keys(self.raw)) == sorted(
-            self.nvm_map.keys(self.raw)
-        )
+        dram_items = self.dram_map.verified_items(self.raw)
+        if dram_items is None:
+            return False
+        nvm_items = self.nvm_map.verified_items(self.raw)
+        if nvm_items is None:
+            return False
+        return dict(dram_items).keys() == dict(nvm_items).keys()

@@ -8,9 +8,11 @@ the paper's Figure 6.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, TYPE_CHECKING
+from typing import Callable, Generator, List, Optional, Set, Tuple, TYPE_CHECKING
 
+from ..errors import CorruptStructureError
 from ..mem.address import MemoryKind
+from ..params import WORD_SIZE
 from ..runtime.txapi import MemoryContext
 from .base import PayloadPool, Workload, WorkloadParams, write_payload
 
@@ -20,18 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover
 _RED = 0
 _BLACK = 1
 
+# Field constants are byte offsets from an object's base address.
 # Node layout (words): key, value, color, left, right, parent.
-_N_KEY = 0
-_N_VALUE = 1
-_N_COLOR = 2
-_N_LEFT = 3
-_N_RIGHT = 4
-_N_PARENT = 5
+_N_KEY = 0 * WORD_SIZE
+_N_VALUE = 1 * WORD_SIZE
+_N_COLOR = 2 * WORD_SIZE
+_N_LEFT = 3 * WORD_SIZE
+_N_RIGHT = 4 * WORD_SIZE
+_N_PARENT = 5 * WORD_SIZE
 _NODE_WORDS = 6
 
-# Header layout: root pointer, element count.
-_H_ROOT = 0
-_H_SIZE = 1
+# Header layout (words): root pointer, element count.
+_H_ROOT = 0 * WORD_SIZE
+_H_SIZE = 1 * WORD_SIZE
 
 
 class TxRBTree:
@@ -47,45 +50,47 @@ class TxRBTree:
         cls, heap: "TxHeap", ctx: MemoryContext, kind: MemoryKind
     ) -> "TxRBTree":
         base = heap.alloc_words(2, kind)
-        ctx.write_word(heap.field(base, _H_ROOT), 0)
-        ctx.write_word(heap.field(base, _H_SIZE), 0)
+        ctx.write_word(base + _H_ROOT, 0)
+        ctx.write_word(base + _H_SIZE, 0)
         return cls(heap, base, kind)
 
     # -- field helpers --------------------------------------------------------
 
     def _get(self, ctx, node, f) -> int:
-        return ctx.read_word(self.heap.field(node, f))
+        return ctx.read_word(node + f)
 
     def _set(self, ctx, node, f, v) -> None:
-        ctx.write_word(self.heap.field(node, f), v)
+        ctx.write_word(node + f, v)
 
     def _root(self, ctx) -> int:
-        return ctx.read_word(self.heap.field(self.base, _H_ROOT))
+        return ctx.read_word(self.base + _H_ROOT)
 
     def _set_root(self, ctx, node) -> None:
-        ctx.write_word(self.heap.field(self.base, _H_ROOT), node)
+        ctx.write_word(self.base + _H_ROOT, node)
 
     # -- operations ---------------------------------------------------------------
 
     def get(self, ctx: MemoryContext, key: int) -> Optional[int]:
-        node = self._root(ctx)
+        read = ctx.read_word
+        node = read(self.base + _H_ROOT)
         while node != 0:
-            node_key = self._get(ctx, node, _N_KEY)
+            node_key = read(node + _N_KEY)
             if key == node_key:
-                return self._get(ctx, node, _N_VALUE)
-            node = self._get(ctx, node, _N_LEFT if key < node_key else _N_RIGHT)
+                return read(node + _N_VALUE)
+            node = read(node + (_N_LEFT if key < node_key else _N_RIGHT))
         return None
 
     def insert(self, ctx: MemoryContext, key: int, value: int) -> bool:
+        read = ctx.read_word
         parent = 0
-        node = self._root(ctx)
+        node = read(self.base + _H_ROOT)
         while node != 0:
-            node_key = self._get(ctx, node, _N_KEY)
+            node_key = read(node + _N_KEY)
             if key == node_key:
-                self._set(ctx, node, _N_VALUE, value)
+                ctx.write_word(node + _N_VALUE, value)
                 return False
             parent = node
-            node = self._get(ctx, node, _N_LEFT if key < node_key else _N_RIGHT)
+            node = read(node + (_N_LEFT if key < node_key else _N_RIGHT))
         fresh = self.heap.alloc_words(_NODE_WORDS, self.kind)
         self._set(ctx, fresh, _N_KEY, key)
         self._set(ctx, fresh, _N_VALUE, value)
@@ -264,34 +269,52 @@ class TxRBTree:
 
     # -- verification --------------------------------------------------------------
 
-    def size(self, ctx: MemoryContext) -> int:
-        """Element count, by walking (no transactional hot counter)."""
-        return len(self.keys(ctx))
+    def items(self, ctx: MemoryContext) -> List[Tuple[int, int]]:
+        """Every ``(key, value)`` pair, in order.
 
-    def keys(self, ctx: MemoryContext) -> List[int]:
-        out: List[int] = []
-        stack = []
-        node = self._root(ctx)
+        Raises :class:`CorruptStructureError` on revisiting a node, so a
+        child-pointer cycle ends the walk instead of growing it without
+        bound.
+        """
+        read = ctx.read_word
+        out: List[Tuple[int, int]] = []
+        seen: Set[int] = set()
+        stack: List[int] = []
+        node = read(self.base + _H_ROOT)
         while stack or node != 0:
             while node != 0:
+                if node in seen:
+                    raise CorruptStructureError(f"RB-tree cycle at {node:#x}")
+                seen.add(node)
                 stack.append(node)
-                node = self._get(ctx, node, _N_LEFT)
+                node = read(node + _N_LEFT)
             node = stack.pop()
-            out.append(self._get(ctx, node, _N_KEY))
-            node = self._get(ctx, node, _N_RIGHT)
+            out.append((read(node + _N_KEY), read(node + _N_VALUE)))
+            node = read(node + _N_RIGHT)
         return out
 
+    def keys(self, ctx: MemoryContext) -> List[int]:
+        return [key for key, _ in self.items(ctx)]
+
+    def size(self, ctx: MemoryContext) -> int:
+        """Element count, by walking (no transactional hot counter)."""
+        return len(self.items(ctx))
+
     def check_integrity(self, ctx: MemoryContext) -> bool:
-        """BST order, red-black invariants, and size consistency."""
-        keys = self.keys(ctx)
-        if keys != sorted(keys) or len(keys) != len(set(keys)):
+        """Acyclic, BST order, and the red-black invariants."""
+        try:
+            items = self.items(ctx)
+        except CorruptStructureError:
+            return False
+        if any(a[0] >= b[0] for a, b in zip(items, items[1:])):
             return False
         root = self._root(ctx)
         if root == 0:
             return True
         if self._get(ctx, root, _N_COLOR) != _BLACK:
             return False
-        # No red node has a red child; black-height is uniform.
+        # No red node has a red child; black-height is uniform.  The walk
+        # above visited every reachable node once, so this one terminates.
         black_heights = set()
         stack = [(root, 0)]
         while stack:

@@ -139,6 +139,16 @@ class TestNvmCommit:
         entry = controller.dram_cache.lookup(addr)
         assert entry is not None and not entry.committed
 
+    def test_abort_after_early_eviction_keeps_prior_commit(self, controller):
+        """A committed line still in the DRAM cache, then early-evicted by
+        a second transaction that aborts: reads see the first commit."""
+        addr = nvm_addr(controller)
+        controller.commit_nvm(1, {addr: {addr: 10}})
+        controller.buffer_early_evicted_nvm(2, addr, {addr: 20})
+        assert controller.load_word(addr) == 20
+        controller.abort_nvm(2, [addr])
+        assert controller.load_word(addr) == 10
+
     def test_abort_nvm_invalidates_buffered_lines(self, controller):
         addr = nvm_addr(controller)
         controller.buffer_early_evicted_nvm(3, addr, {addr: 5})

@@ -91,6 +91,26 @@ class TestInvalidation:
         cache.fill(0x40, {0x40: 9}, tx_id=5, committed=True)
         assert not cache.invalidate(0x40, tx_id=5)
 
+    def test_abort_never_takes_undrained_committed_data(self, nvm):
+        """An uncommitted fill over a committed line that has not drained
+        writes the committed image back first, so invalidating the entry
+        on the new owner's abort leaves the committed values in NVM."""
+        cache = make_cache(nvm)
+        cache.fill(0x40, {0x40: 1, 0x48: 2}, tx_id=1, committed=True)
+        assert cache.fill(0x40, {0x40: 3}, tx_id=2, committed=False) == 1
+        assert cache.drains == 1
+        assert cache.lookup(0x40).words == {0x40: 3, 0x48: 2}
+        assert cache.invalidate(0x40, tx_id=2)
+        assert cache.lookup(0x40) is None
+        assert (nvm.load(0x40), nvm.load(0x48)) == (1, 2)
+
+    def test_committed_refill_does_not_write_back(self, nvm):
+        cache = make_cache(nvm)
+        cache.fill(0x40, {0x40: 1}, tx_id=1, committed=True)
+        assert cache.fill(0x40, {0x40: 2}, tx_id=2, committed=True) == 0
+        assert cache.drains == 0
+        assert nvm.load(0x40) == 0
+
     def test_invalidated_line_never_drains(self, nvm):
         cache = make_cache(nvm, lines=2)
         cache.fill(0x00, {0x00: 1}, 1, committed=False)

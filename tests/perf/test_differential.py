@@ -232,6 +232,11 @@ class ReferenceDramCache:
     def fill(self, line_addr, words, tx_id, committed):
         entry = self._entries.get(line_addr)
         if entry is not None and not entry[3]:
+            if entry[2] and not committed:
+                # Committed data is written back before an uncommitted
+                # owner shares its entry (an abort would invalidate it).
+                self._nvm.store_line(entry[0])
+                self.drains += 1
             entry[0].update(words)
             entry[1] = tx_id
             entry[2] = committed

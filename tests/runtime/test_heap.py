@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.mem.address import MemoryKind
 from repro.mem.controller import MemoryController
-from repro.params import LINE_SIZE, LatencyConfig, MemoryConfig, WORD_SIZE
+from repro.params import LINE_SIZE, LatencyConfig, MemoryConfig
 from repro.runtime.heap import TxHeap
 
 
@@ -38,11 +38,6 @@ class TestTxHeap:
         addr = heap.alloc_words(8, MemoryKind.NVM)
         heap.free_words(addr, 8, MemoryKind.NVM)
         assert heap.alloc_words(8, MemoryKind.NVM) == addr
-
-    def test_field_addressing(self, heap):
-        base = heap.alloc_words(4, MemoryKind.DRAM)
-        assert TxHeap.field(base, 0) == base
-        assert TxHeap.field(base, 3) == base + 3 * WORD_SIZE
 
     def test_allocator_accessor(self, heap):
         assert heap.allocator(MemoryKind.DRAM) is not heap.allocator(

@@ -240,7 +240,7 @@ def build_system(config: CampaignConfig):
         kind=MemoryKind.NVM,
     )
     workload = WORKLOADS[config.workload](system, process, params)
-    workload.spawn()  # runs setup (RawContext) and registers the threads
+    workload.spawn()  # runs setup, publishes its pre-fill, adds threads
     oracle = CrashOracle(system)
     oracle.arm()  # baseline = post-setup NVM contents
     return system, workload, oracle

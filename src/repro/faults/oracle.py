@@ -81,7 +81,8 @@ class CrashOracle:
 
     def arm(self) -> None:
         """Snapshot the baseline and start shadowing.  Call after workload
-        setup (RawContext pre-population) and before the measured run."""
+        setup (whose staged pre-fill ``spawn()`` publishes) and before the
+        measured run."""
         if self._armed:
             return
         self._armed = True

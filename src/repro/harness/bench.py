@@ -28,6 +28,12 @@ slower::
 Baselines are machine-specific: reseed them (``-m smoke --out-dir .``) on
 the machine that will run the gate.
 
+Every artifact also records where it was measured — ``git_rev`` (the
+source checkout's commit, or null outside a git checkout), ``python``,
+``platform`` and ``nproc`` — for reading trajectories across machines.
+``--compare`` never looks at these fields, and artifacts written before
+they existed load and gate unchanged.
+
 The special name ``epochs`` benches block dispatch through a real
 System at several block widths, twice per width: through the fused epoch
 dispatcher and through the per-op reference path (``htm.batch`` set to
@@ -42,6 +48,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -158,6 +167,32 @@ def _load_baseline(compare_arg: str, figure: str):
     return data, path
 
 
+def _git_rev() -> Optional[str]:
+    """The commit of the checkout this module runs from, if it is one."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
+def _provenance() -> dict:
+    """Where an artifact was measured; ``--compare`` ignores all of it."""
+    return {
+        "git_rev": _git_rev(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+    }
+
+
 def _artifact(
     figure: str,
     outcome: GridOutcome,
@@ -166,6 +201,7 @@ def _artifact(
 ) -> dict:
     return {
         "figure": figure,
+        **_provenance(),
         "quick": not args.full,
         "scale": args.scale,
         "seed": args.seed,
@@ -250,6 +286,7 @@ def _epoch_artifact(args: argparse.Namespace) -> Tuple[dict, float]:
     total_s = stopwatch.elapsed_s
     return {
         "figure": "epochs",
+        **_provenance(),
         "quick": not args.full,
         "scale": args.scale,
         "seed": args.seed,

@@ -171,6 +171,48 @@ class MemoryController:
             return
         self.nvm.store(addr, value)
 
+    def store_words(self, words: Dict[int, int]) -> None:
+        """Bulk :meth:`store_word`: each item of ``words``, in order.
+
+        Leaves the same backing-store contents (insertion order included),
+        DRAM-cache entry words, ``on_nontx_nvm_store`` calls and
+        :class:`~repro.mem.wear.WearTracker` counts as ``store_word``
+        applied item by item, but lands every in-place NVM word through one
+        :meth:`BackingStore.store_line` call.  Unlike ``store_word`` it
+        takes word-aligned addresses only: a misaligned address or a
+        non-``int`` value raises :class:`AddressError` naming the address,
+        after the items before it have been stored.
+        """
+        hook = self.on_nontx_nvm_store
+        lookup = self._dc_lookup
+        dram_words = self._dram_words
+        dram_end = self._dram_end
+        nvm_end = self._nvm_end
+        in_place: Dict[int, int] = {}
+        try:
+            for addr, value in words.items():
+                if addr & (WORD_SIZE - 1) or not isinstance(value, int):
+                    raise AddressError(
+                        f"bulk store at {addr:#x} takes a word-aligned "
+                        f"address and an int value, got "
+                        f"{type(value).__name__}"
+                    )
+                if NVM_BASE <= addr < nvm_end:
+                    if hook is not None:
+                        hook(addr)
+                    entry = lookup(addr & _LINE_MASK)
+                    if entry is not None:
+                        entry.words[addr] = value
+                        continue
+                    in_place[addr] = value
+                elif DRAM_BASE <= addr < dram_end:
+                    dram_words[addr] = value
+                else:
+                    in_place[addr] = value
+        finally:
+            if in_place:
+                self.nvm.store_line(in_place)
+
     def rmw_word(self, addr: int, delta: int) -> None:
         """Fused ``store_word(addr, load_word(addr) + delta)``.
 

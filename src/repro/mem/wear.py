@@ -12,6 +12,13 @@ separately, giving the three quantities PM papers report:
 
 Attach with ``WearTracker.attach(controller)``; detach restores the
 original methods.
+
+Workload pre-fill is functional, not a stream of device writes:
+``Workload.spawn()`` stages it and publishes the final image through
+:meth:`MemoryController.store_words`, so each published NVM word counts
+once, however often ``setup()`` rewrote it.  (Pre-fill used to count
+every write; a ``setup()`` called directly with a ``RawContext`` still
+does.)
 """
 
 from __future__ import annotations

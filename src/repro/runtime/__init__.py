@@ -21,6 +21,7 @@ from .thread import ThreadApi
 from .txapi import (
     DirectContext,
     MemoryContext,
+    PrefillContext,
     RawContext,
     SlowPathContext,
     TxContext,
@@ -33,6 +34,7 @@ __all__ = [
     "ThreadApi",
     "DirectContext",
     "MemoryContext",
+    "PrefillContext",
     "RawContext",
     "SlowPathContext",
     "TxContext",

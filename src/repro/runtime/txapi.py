@@ -1,4 +1,4 @@
-"""Memory-access contexts: one interface, three execution modes.
+"""Memory-access contexts: one interface, several execution modes.
 
 Workload data structures take a :class:`MemoryContext` and never know
 whether they are running speculatively (fast path), serialised under the
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..errors import ReproError
+from ..errors import AddressError, ReproError
 from ..htm.base import HTMSystem, TxHandle
 from ..mem.address import line_of
-from ..params import LINE_SIZE
+from ..params import LINE_SIZE, WORD_SIZE
 from ..sim.engine import SimThread
 
 
@@ -71,6 +71,58 @@ class RawContext(MemoryContext):
         # method would add a Python frame to each.
         self.read_word = controller.load_word
         self.write_word = controller.store_word
+
+
+class _PrefillImage(dict):
+    """Staged pre-fill words; a miss reads through to the controller."""
+
+    __slots__ = ("_load",)
+
+    def __init__(self, load) -> None:
+        super().__init__()
+        self._load = load
+
+    def __missing__(self, addr: int) -> int:
+        if addr & (WORD_SIZE - 1):
+            raise AddressError(f"unaligned pre-fill read at {addr:#x}")
+        return self._load(addr)
+
+
+class PrefillContext(MemoryContext):
+    """Functional pre-fill staged in a plain dict, published in one store.
+
+    Nothing can observe pre-fill words until the run starts, so
+    :meth:`Workload.spawn` runs ``setup()`` against this context instead
+    of a :class:`RawContext`: writes land in a ``dict`` and reads hit it
+    first, both through the dict's own ``__setitem__``/``__getitem__``
+    with no Python frame; a word never written here reads through to
+    ``controller.load_word``.  :meth:`publish` then hands the image to
+    :meth:`MemoryController.store_words` — the same contents, insertion
+    order, hook calls and wear counts as storing each staged word once,
+    in first-write order.  A word written several times is published
+    once, with its last value.
+    """
+
+    def __init__(self, controller) -> None:
+        self._controller = controller
+        self._image = image = _PrefillImage(controller.load_word)
+        self.read_word = image.__getitem__
+        self.write_word = image.__setitem__
+
+    def publish(self) -> None:
+        """Store the staged image, free it, and fall back to raw access.
+
+        Raises :class:`AddressError` for a misaligned staged address or a
+        non-``int`` staged value.
+        """
+        controller = self._controller
+        image = self._image
+        self._image = None
+        # The bound dict methods hold the image too; rebinding them to the
+        # controller frees it on return and keeps the context usable.
+        self.read_word = controller.load_word
+        self.write_word = controller.store_word
+        controller.store_words(image)
 
 
 class TxContext(MemoryContext):

@@ -17,7 +17,7 @@ from typing import Callable, Generator, List, TYPE_CHECKING
 from ..errors import ConfigError
 from ..mem.address import MemoryKind
 from ..params import LINE_SIZE
-from ..runtime.txapi import MemoryContext, RawContext
+from ..runtime.txapi import MemoryContext, PrefillContext, RawContext
 from ..runtime.thread import ThreadApi
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,15 +137,32 @@ class Workload:
     # -- lifecycle -------------------------------------------------------------
 
     def setup(self) -> None:
-        """Pre-populate structures (untimed, via :class:`RawContext`)."""
+        """Pre-populate structures (untimed, through ``self.raw``).
+
+        Under :meth:`spawn`, ``self.raw`` is a :class:`PrefillContext`
+        whose image is published when ``setup`` returns; called directly,
+        it is the plain :class:`RawContext`.
+        """
 
     def thread_bodies(self) -> List[Callable[[ThreadApi], Generator]]:
         """One generator function per thread of this benchmark."""
         raise NotImplementedError
 
     def spawn(self) -> None:
-        """Set up and launch all threads on this workload's process."""
-        self.setup()
+        """Set up and launch all threads on this workload's process.
+
+        ``setup`` runs against a :class:`PrefillContext`, whose staged image
+        reaches the backing stores in one bulk store before any thread is
+        created; ``self.raw`` is the :class:`RawContext` again afterwards.
+        """
+        raw = self.raw
+        prefill = PrefillContext(self.system.controller)
+        self.raw = prefill
+        try:
+            self.setup()
+        finally:
+            self.raw = raw
+        prefill.publish()
         for index, body in enumerate(self.thread_bodies()):
             self.process.thread(body, name=f"{self.name}.t{index}")
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import platform
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.harness.bench import (
     compare_to_baseline,
     _load_baseline,
 )
+
+PROVENANCE = ("git_rev", "python", "platform", "nproc")
 
 
 def _point(label, key, elapsed_s, cached=False):
@@ -112,6 +116,22 @@ class TestComparablePoints:
         current = _artifact([_point("a", ["x"], 2.0)])
         assert comparable_points(current, baseline) == []
 
+    def test_provenance_fields_never_gate(self):
+        baseline = _artifact([_point("a", ["x"], 1.0)])
+        current = _artifact([_point("a", ["x"], 2.0)])
+        stamped = dict(
+            current, git_rev="0" * 40, python="0.0", platform="x", nproc=1
+        )
+        assert comparable_points(stamped, baseline) == comparable_points(
+            current, baseline
+        )
+        assert compare_to_baseline(stamped, baseline) == compare_to_baseline(
+            current, baseline
+        )
+        assert compare_to_baseline(baseline, stamped) == compare_to_baseline(
+            baseline, current
+        )
+
     def test_missing_engine_means_scalar(self):
         # Artifacts written while runs were engine-stamped carry an
         # ``engine`` field; pairing ignores it, present or absent.
@@ -164,6 +184,42 @@ class TestBenchCliGate:
         assert smoke_artifact["quick"] is True
         assert smoke_artifact["simulated"] == smoke_artifact["points_total"]
         assert all(p["elapsed_s"] >= 0 for p in smoke_artifact["points"])
+
+    def test_artifact_records_provenance(self, smoke_artifact):
+        assert smoke_artifact["python"] == platform.python_version()
+        assert smoke_artifact["platform"] == platform.platform()
+        assert smoke_artifact["nproc"] == os.cpu_count()
+        rev = smoke_artifact["git_rev"]
+        assert rev is None or (len(rev) == 40 and int(rev, 16) >= 0)
+
+    def test_baseline_without_provenance_loads_and_gates(
+        self, smoke_artifact, tmp_path, capsys
+    ):
+        # Artifacts written before the provenance fields existed.
+        baseline = {
+            k: v for k, v in smoke_artifact.items() if k not in PROVENANCE
+        }
+        baseline["points"] = [
+            dict(point, elapsed_s=point["elapsed_s"] * 100 + 10.0)
+            for point in smoke_artifact["points"]
+        ]
+        baseline_path = tmp_path / "BENCH_fig2.json"
+        baseline_path.write_text(json.dumps(baseline), encoding="utf-8")
+        loaded, _ = _load_baseline(str(baseline_path), "fig2")
+        assert loaded == baseline
+        rc = bench.main(
+            [
+                "fig2",
+                "-m",
+                "smoke",
+                "--compare",
+                str(baseline_path),
+                "--out-dir",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 0
+        assert "perf gate passed" in capsys.readouterr().out
 
     def test_gate_fails_against_faster_baseline(
         self, smoke_artifact, tmp_path, monkeypatch, capsys

@@ -161,3 +161,114 @@ class TestSideEffects:
         controller.store_word(dram_base(controller), 1)
         assert tracker.total_line_writes == 1
         tracker.detach()
+
+
+# -- bulk store --------------------------------------------------------------
+
+
+def make_tracked():
+    controller, stored = make()
+    # Words already in both stores, so the bulk store must keep their
+    # positions in the backing dicts exactly as per-word stores do.
+    controller.dram.store(dram_base(controller) + 8, 1)
+    controller.nvm.store(nvm_base(controller) + 264, 1)
+    return controller, stored, WearTracker().attach(controller)
+
+
+def ordered_state(controller, stored, tracker):
+    return (
+        list(controller.dram.words()),
+        list(controller.nvm.words()),
+        state(controller, stored),
+        dict(tracker.line_writes),
+        tracker.payload_bytes,
+    )
+
+
+def words_resident(c):
+    addr = resident(c, True)
+    return {addr: 10, line_of(addr): 11, nvm_base(c) + 256: 12}
+
+
+def words_dram_and_nvm(c):
+    return {
+        nvm_base(c) + 256: 20,
+        dram_base(c) + 16: 21,
+        nvm_base(c) + 264: 22,
+        dram_base(c) + 8: 23,
+        nvm_base(c) + 128: 24,
+    }
+
+
+def words_out_of_range(c):
+    return {
+        DRAM_BASE - 64: 30,
+        nvm_base(c) + 256: 31,
+        c.address_space.nvm_end + 64: 32,
+    }
+
+
+BULK_CASES = {
+    "nvm_resident": words_resident,
+    "dram_and_nvm": words_dram_and_nvm,
+    "out_of_range": words_out_of_range,
+}
+
+
+class TestStoreWords:
+    @pytest.mark.parametrize("case", sorted(BULK_CASES))
+    def test_matches_store_word_per_item(self, case):
+        bulk, bulk_stored, bulk_tracker = make_tracked()
+        each, each_stored, each_tracker = make_tracked()
+        words = BULK_CASES[case](bulk)
+        assert words == BULK_CASES[case](each)
+        bulk.store_words(words)
+        for addr, value in words.items():
+            each.store_word(addr, value)
+        assert ordered_state(bulk, bulk_stored, bulk_tracker) == ordered_state(
+            each, each_stored, each_tracker
+        )
+
+    def test_in_place_nvm_words_land_in_one_store_line(self):
+        controller, _, tracker = make_tracked()
+        calls = []
+        store_line = controller.nvm.store_line
+
+        def recording_store_line(words):
+            calls.append(list(words))
+            store_line(words)
+
+        controller.nvm.store_line = recording_store_line
+        words = words_dram_and_nvm(controller)
+        controller.store_words(words)
+        nvm_addrs = [a for a in words if controller.address_space.is_nvm(a)]
+        assert calls == [nvm_addrs]
+        assert tracker.payload_bytes == 8 * len(nvm_addrs)
+
+    @pytest.mark.parametrize("where", ["dram", "nvm"])
+    def test_rejects_non_int_value_naming_the_address(self, where):
+        controller, _ = make()
+        addr = dram_base(controller) if where == "dram" else nvm_base(controller)
+        with pytest.raises(AddressError, match=f"{addr:#x}"):
+            controller.store_words({addr: "x"})
+
+    @pytest.mark.parametrize("where", ["dram", "nvm"])
+    def test_rejects_unaligned_address_naming_it(self, where):
+        controller, _ = make()
+        addr = (dram_base(controller) if where == "dram" else nvm_base(controller)) + 3
+        with pytest.raises(AddressError, match=f"{addr:#x}"):
+            controller.store_words({addr: 1})
+
+    def test_items_before_a_bad_one_are_stored(self):
+        bulk, bulk_stored, bulk_tracker = make_tracked()
+        each, each_stored, each_tracker = make_tracked()
+        good = words_dram_and_nvm(bulk)
+        bad_addr = dram_base(bulk) + 5
+        words = {**good, bad_addr: 1, nvm_base(bulk) + 512: 2}
+        with pytest.raises(AddressError, match=f"{bad_addr:#x}"):
+            bulk.store_words(words)
+        for addr, value in good.items():
+            each.store_word(addr, value)
+        assert ordered_state(bulk, bulk_stored, bulk_tracker) == ordered_state(
+            each, each_stored, each_tracker
+        )

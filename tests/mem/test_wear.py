@@ -8,7 +8,9 @@ from repro import HTMConfig, MachineConfig, System
 from repro.mem.address import MemoryKind
 from repro.mem.wear import WearTracker
 from repro.params import LINE_SIZE
+from repro.runtime import RawContext
 from repro.sim.engine import SimThread
+from repro.workloads import WORKLOADS, WorkloadParams
 
 
 def make_system():
@@ -98,3 +100,39 @@ class TestWearTracker:
         system.crash()
         system.recover()
         assert tracker.total_line_writes >= 2
+
+
+class TestPrefillWear:
+    """Pre-fill is functional: each published NVM word counts once."""
+
+    def spawn_hashmap(self, staged):
+        system = make_system()
+        tracker = WearTracker().attach(system.controller)
+        workload = WORKLOADS["hashmap"](
+            system,
+            system.process("hashmap"),
+            WorkloadParams(threads=2, value_bytes=8 << 10, keys=64,
+                           initial_fill=32, kind=MemoryKind.NVM),
+        )
+        if staged:
+            workload.spawn()
+        else:
+            workload.raw = RawContext(system.controller)
+            workload.setup()
+        return system, tracker
+
+    def test_each_published_word_counts_once(self):
+        system, tracker = self.spawn_hashmap(staged=True)
+        published = system.controller.nvm.word_count()
+        assert published > 0
+        assert tracker.payload_bytes == 8 * published
+        assert tracker.total_line_writes == published
+        assert tracker.log_bytes == 0
+
+    def test_raw_setup_counts_every_write(self):
+        staged, staged_tracker = self.spawn_hashmap(staged=True)
+        raw, raw_tracker = self.spawn_hashmap(staged=False)
+        assert staged.controller.nvm_snapshot() == raw.controller.nvm_snapshot()
+        # The bucket heads and the size word are rewritten during pre-fill.
+        assert raw_tracker.total_line_writes > staged_tracker.total_line_writes
+        assert raw_tracker.distinct_lines == staged_tracker.distinct_lines

@@ -20,7 +20,7 @@ exist for write-back traffic accounting only.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Set
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..mem.controller import MemoryController
 from ..params import MachineConfig
@@ -113,25 +113,14 @@ class CacheHierarchy:
         the tail: it runs exactly once per simulated memory operation, and
         the method call was measurable.
         """
-        l1 = self.l1s[core_id]
-        l1_meta = l1.lookup(line_addr)
+        l1_meta = self.l1s[core_id].lookup(line_addr)
         if l1_meta is not None:
             latency = self._l1_hit_ns
             level = "l1"
         else:
-            latency = self._llc_hit_ns
-            if self.llc.lookup(line_addr) is not None:
-                level = "llc"
-            else:
-                latency += self.controller.demand_access_latency(
-                    line_addr, now_ns + latency
-                )
-                # The LLC probe above already missed, so fill unconditionally.
-                _, llc_victims = self.llc.fill(line_addr)
-                for victim in llc_victims:
-                    self.handle_llc_eviction(victim)
-                level = "mem"
-            l1_meta = self.fill_l1_after_miss(l1, core_id, line_addr)
+            l1_meta, latency, level = self.serve_l1_miss(
+                core_id, line_addr, now_ns
+            )
         if is_write:
             # GetM: invalidate every other copy; this copy goes to M (a
             # sole E holder upgrades silently).
@@ -169,6 +158,34 @@ class CacheHierarchy:
         return AccessResult(latency, level)
 
     # -- fills and evictions -----------------------------------------------------
+
+    def serve_l1_miss(
+        self, core_id: int, line_addr: int, now_ns: float
+    ) -> Tuple[CacheLineMeta, float, str]:
+        """The rest of an access whose L1 probe just missed.
+
+        Probes the LLC; on an LLC miss, charges the memory demand access
+        (issued at ``now_ns`` plus the on-chip traversal, so the bandwidth
+        model queues it at the right time), fills the LLC and handles each
+        victim.  Then installs the line in the requester's L1.  Returns the
+        L1 metadata, the latency so far and the level that served it
+        (``"llc"`` or ``"mem"``).  Both :meth:`access` and the epoch
+        dispatcher's fused block loops take this one path.
+        """
+        latency = self._llc_hit_ns
+        if self.llc.lookup(line_addr) is not None:
+            level = "llc"
+        else:
+            latency += self.controller.demand_access_latency(
+                line_addr, now_ns + latency
+            )
+            # The LLC probe above already missed, so fill unconditionally.
+            _, llc_victims = self.llc.fill(line_addr)
+            for victim in llc_victims:
+                self.handle_llc_eviction(victim)
+            level = "mem"
+        l1_meta = self.fill_l1_after_miss(self.l1s[core_id], core_id, line_addr)
+        return l1_meta, latency, level
 
     def fill_l1_after_miss(
         self, l1: SetAssociativeArray, core_id: int, line_addr: int

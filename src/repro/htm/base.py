@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.setassoc import CacheLineMeta
-from ..cache.directory import DirectoryEntry
+from ..cache.directory import DirectoryConflict, DirectoryEntry
 from ..errors import (
     AbortReason,
     TransactionAborted,
@@ -409,8 +409,17 @@ class HTMSystem:
         conflict = self.hierarchy.directory.check_access(
             line_addr, tx.tx_id, is_write
         )
-        if conflict is None:
-            return
+        if conflict is not None:
+            self._onchip_resolution(tx, line_addr, conflict)
+
+    def _onchip_resolution(
+        self, tx: TxHandle, line_addr: int, conflict: DirectoryConflict
+    ) -> None:
+        """Resolve an on-chip conflict the directory probe reported.
+
+        The one copy of this staging: the per-op check above and the epoch
+        dispatcher's fused loops both call it after their probe.
+        """
         victims = [v for v in sorted(conflict.victims) if self.tss.is_active(v)]
         if not victims:
             return
@@ -453,8 +462,20 @@ class HTMSystem:
         hits = self._offchip_conflicts(
             domain_id, line_addr, is_write, exclude, requester_overflowed
         )
-        if not hits:
-            return
+        if hits:
+            self._offchip_resolution(requester, line_addr, hits)
+
+    def _offchip_resolution(
+        self,
+        requester: Optional[TxHandle],
+        line_addr: int,
+        hits: List[Tuple[int, bool]],
+    ) -> None:
+        """Resolve the hits an off-chip probe reported.
+
+        The one copy of this staging: the per-op check above and the epoch
+        dispatcher's fused loops both call it after their probe.
+        """
         self.stats.incr("conflicts.offchip")
         victims = [tx_id for tx_id, _ in hits]
         truly = {tx_id: is_true for tx_id, is_true in hits}

@@ -11,31 +11,32 @@ construction.  What the per-op path spends on that block is largely
 interpreter overhead — context/method frames, double cache probes, per-op
 result allocation, per-op counter calls.
 
-:class:`BatchDispatcher` replays each block through fused loops that mirror
+:class:`BatchDispatcher` replays each block through fused loops over
 :meth:`~repro.htm.base.HTMSystem.tx_read` /
 :meth:`~repro.htm.base.HTMSystem.tx_write` /
-:meth:`~repro.htm.base.HTMSystem.nontx_access` and
-:meth:`~repro.cache.hierarchy.CacheHierarchy.access` operation for
-operation — same probe order, same conflict-check staging, same float
-additions to the thread clock, same counter totals.  The inner eviction
-handlers (``handle_l1_eviction``/``handle_llc_eviction``) are inlined
-statement-for-statement as well: the three fused loops deliberately repeat
-that code, because a shared helper would reintroduce exactly the per-op
-call frames the epoch core exists to remove.  Bit-identity against the
-per-op reference (a :class:`~repro.runtime.system.System` whose
-``htm.batch`` is set to None) is enforced by the differential,
-fence and mutation suites in ``tests/kernels``, and the pinned figure
-digests in ``tests/integration``.
+:meth:`~repro.htm.base.HTMSystem.nontx_access` — same probe order, same
+conflict-check staging, same float additions to the thread clock, same
+counter totals.  Only the common cases stay inline: the staging probes, the
+L1 hit, the GetS/GetM coherence tail and the per-line transactional
+bookkeeping.  Everything rarer is the shared code the per-op walk runs too:
+an L1 miss goes through
+:meth:`~repro.cache.hierarchy.CacheHierarchy.serve_l1_miss` (LLC probe,
+memory demand access with channel queueing, fills, both eviction handlers),
+and a conflict the probes report goes through
+:meth:`~repro.htm.base.HTMSystem._onchip_resolution` /
+:meth:`~repro.htm.base.HTMSystem._offchip_resolution`.  Bit-identity
+against the per-op reference (a :class:`~repro.runtime.system.System`
+whose ``htm.batch`` is set to None) is enforced by the differential, fence
+and mutation suites in ``tests/kernels``, and the pinned figure digests in
+``tests/integration``.
 
 The *dependency fence* drops a block back to scalar single-step dispatch
 whenever per-operation ordering could be observed from outside the fused
-loop: an event tracer or trace capture attached (per-op events must
-interleave exactly as the per-op path emits them), a fault injector armed
-(crash points must see every intermediate hook), or the bandwidth model
-enabled (channel queueing is stateful per request).  Conflicts do *not*
-fence a block — the fused loops run the exact scalar conflict-resolution
-staging inline per line, which is what the epoch-fence mutation tests pin
-down.
+loop: trace capture attached (the capture records every operation, which
+the fused loops do not) or a fault injector armed (crash points must see
+every intermediate hook).  Tracers, the bandwidth model and conflicts do
+*not* fence a block: every event and every channel request the fused loops
+cause comes from the shared code above, in the per-op order.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from typing import List, Optional
 
 from ..cache.coherence import CoherenceRequest, MesiState, next_state_for_holder
 from ..errors import AbortReason, TransactionAborted
-from ..mem.address import DRAM_BASE
 from ..params import LINE_SIZE
 from .base import HTMSystem, TxHandle, _LINE_MASK, _WORD_MASK
-from .conflict import ConflictLocation, ResolutionPolicy
+from .conflict import ResolutionPolicy
 from .tss import TxStatus
 
 _GET_S = CoherenceRequest.GET_S
@@ -72,140 +72,24 @@ class BatchDispatcher:
         self.epoch = epoch_stats
         # Construction-time invariant hoists, mirroring the scalar paths'
         # own per-access hoists in HTMSystem.__init__ / CacheHierarchy.
-        hierarchy = htm.hierarchy
-        controller = htm.controller
-        self.hierarchy = hierarchy
-        self.controller = controller
+        self.hierarchy = htm.hierarchy
+        self.controller = htm.controller
         self._uses_directory = type(htm).USES_DIRECTORY
         self._records_access = (
             type(htm)._on_access_recorded is not HTMSystem._on_access_recorded
         )
         self._table2 = htm.config.resolution == ResolutionPolicy.TABLE2
-        self._l1_hit_ns = hierarchy._l1_hit_ns
-        self._llc_hit_ns = hierarchy._llc_hit_ns
-        space = controller.address_space
-        self._dram_end = space.dram_end
-        # One DRAM demand read costs a constant when no channel is modelled
-        # (BackingStore.read_ns is latency.dram_ns); the bandwidth fence
-        # guarantees the channel term is absent whenever a block is fused.
-        self._dram_demand_ns = controller.latency.dram_ns
+        self._l1_hit_ns = htm.hierarchy._l1_hit_ns
 
     # ------------------------------------------------------------- fencing
 
     def _fence_reason(self) -> Optional[str]:
         """Why batching is forbidden right now, or ``None`` if allowed."""
-        htm = self.htm
-        if (
-            htm.tracer is not None
-            or self.hierarchy.tracer is not None
-            or self.controller.tracer is not None
-        ):
-            return "tracer"
-        if htm.capture is not None:
+        if self.htm.capture is not None:
             return "capture"
         if self.controller.fault_injector is not None:
             return "fault"
-        if self.controller.dram_channel is not None:
-            return "bandwidth"
         return None
-
-    # ---------------------------------------------------- conflict staging
-
-    def _onchip_resolution(
-        self, tx: TxHandle, line_addr: int, is_write: bool, conflict
-    ) -> None:
-        """The post-probe half of ``HTMSystem._onchip_conflict_check``.
-
-        The fused loops call ``directory.check_access`` themselves (exactly
-        once per access, like the scalar path) and only pay this resolution
-        staging when a conflict actually surfaced.
-        """
-        htm = self.htm
-        victims = [
-            v for v in sorted(conflict.victims) if htm.tss.is_active(v)
-        ]
-        if not victims:
-            return
-        htm.stats.incr("conflicts.onchip")
-        resolution = htm._resolve(
-            ConflictLocation.ON_CHIP,
-            tx.tx_id,
-            victims,
-            now_ns=tx.thread.clock_ns,
-        )
-        if resolution.requester_aborts:
-            htm._abort(
-                tx,
-                AbortReason.CONFLICT_COHERENCE,
-                line_addr=line_addr,
-                other_tx=victims[0],
-            )
-            raise TransactionAborted(AbortReason.CONFLICT_COHERENCE, tx.tx_id)
-        for victim_id in sorted(resolution.victims_to_abort):
-            htm._abort_tx_id(
-                victim_id,
-                AbortReason.CONFLICT_COHERENCE,
-                line_addr=line_addr,
-                other_tx=tx.tx_id,
-            )
-
-    def _offchip_resolution(
-        self,
-        requester: Optional[TxHandle],
-        line_addr: int,
-        hits,
-    ) -> None:
-        """The post-probe half of ``HTMSystem._offchip_conflict_check``.
-
-        The fused loops run the signature/exact-set probe themselves
-        (``htm._offchip_conflicts``, exactly once per triggering access)
-        and pay this resolution staging only on a hit.
-        """
-        htm = self.htm
-        htm.stats.incr("conflicts.offchip")
-        victims = [tx_id for tx_id, _ in hits]
-        truly = {tx_id: is_true for tx_id, is_true in hits}
-        if requester is None:
-            for victim_id in victims:
-                reason = (
-                    AbortReason.NON_TX_CONFLICT
-                    if truly[victim_id]
-                    else AbortReason.FALSE_POSITIVE
-                )
-                htm._abort_tx_id(victim_id, reason, line_addr=line_addr)
-            return
-        resolution = htm._resolve(
-            ConflictLocation.OFF_CHIP,
-            requester.tx_id,
-            victims,
-            now_ns=requester.thread.clock_ns,
-        )
-        if resolution.requester_aborts:
-            reason = (
-                AbortReason.CONFLICT_TRUE
-                if any(truly.values())
-                else AbortReason.FALSE_POSITIVE
-            )
-            true_victims = [v for v in victims if truly[v]]
-            htm._abort(
-                requester,
-                reason,
-                line_addr=line_addr,
-                other_tx=true_victims[0] if true_victims else victims[0],
-            )
-            raise TransactionAborted(reason, requester.tx_id)
-        for victim_id in sorted(resolution.victims_to_abort):
-            reason = (
-                AbortReason.CONFLICT_TRUE
-                if truly[victim_id]
-                else AbortReason.FALSE_POSITIVE
-            )
-            htm._abort_tx_id(
-                victim_id,
-                reason,
-                line_addr=line_addr,
-                other_tx=requester.tx_id,
-            )
 
     # ------------------------------------------------------- tx block paths
 
@@ -227,11 +111,8 @@ class BatchDispatcher:
 
         htm = self.htm
         hierarchy = self.hierarchy
-        controller = self.controller
         directory = hierarchy.directory
-        l1s = hierarchy.l1s
-        l1 = l1s[tx.core_id]
-        llc = hierarchy.llc
+        l1 = hierarchy.l1s[tx.core_id]
         l1_holders = hierarchy.l1_holders
         thread = tx.thread
         core_id = tx.core_id
@@ -243,25 +124,18 @@ class BatchDispatcher:
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        onchip_resolution = htm._onchip_resolution
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
-        llc_hit_ns = self._llc_hit_ns
         nvm_base = htm._nvm_base
         nvm_end = htm._nvm_end
         nvm_write_ns = htm._nvm_write_ns
-        dram_end = self._dram_end
-        dram_demand_ns = self._dram_demand_ns
-        demand_latency = controller.demand_access_latency
         check_access = directory.check_access
         record_access = directory.record_access
-        evict_line = directory.evict_line
-        on_l1_evict = hierarchy.on_l1_evict
-        on_llc_evict = hierarchy.on_llc_evict
+        serve_l1_miss = hierarchy.serve_l1_miss
         l1_lookup = l1.lookup
         l1_peek = l1.peek
-        l1_fill = l1.fill
-        llc_lookup = llc.lookup
-        llc_peek = llc.peek
-        llc_fill = llc.fill
+        llc_peek = hierarchy.llc.peek
         entry = htm.tss.entry(tx_id)
         write_buffer = tx.write_buffer
         written_lines = tx.written_lines
@@ -287,7 +161,7 @@ class BatchDispatcher:
                 if uses_directory:
                     conflict = check_access(line_addr, tx_id, True)
                     if conflict is not None:
-                        self._onchip_resolution(tx, line_addr, True, conflict)
+                        onchip_resolution(tx, line_addr, conflict)
                 if offchip_always or (
                     offchip_on_miss
                     and l1_peek(line_addr) is None
@@ -301,83 +175,13 @@ class BatchDispatcher:
                         entry.overflowed if table2 else None,
                     )
                     if hits:
-                        self._offchip_resolution(tx, line_addr, hits)
+                        offchip_resolution(tx, line_addr, hits)
                 # -- hierarchy.access(is_write=True), fused -------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
-                    latency = llc_hit_ns
-                    if llc_lookup(line_addr) is None:
-                        if DRAM_BASE <= line_addr < dram_end:
-                            latency += dram_demand_ns
-                        else:
-                            latency += demand_latency(
-                                line_addr, thread.clock_ns + latency
-                            )
-                        _, llc_victims = llc_fill(line_addr)
-                        for victim in llc_victims:
-                            # handle_llc_eviction, inlined
-                            vline = victim.line_addr
-                            vholders = l1_holders.pop(vline, None)
-                            if vholders:
-                                for vcore in vholders:
-                                    vmeta = l1s[vcore].remove(vline)
-                                    if vmeta is not None:
-                                        victim.dirty = (
-                                            victim.dirty or vmeta.dirty
-                                        )
-                                        if vmeta.tx_writer is not None:
-                                            victim.tx_writer = vmeta.tx_writer
-                                        if vmeta.tx_readers:
-                                            vreaders = victim.tx_readers
-                                            if vreaders is None:
-                                                victim.tx_readers = set(
-                                                    vmeta.tx_readers
-                                                )
-                                            else:
-                                                vreaders.update(
-                                                    vmeta.tx_readers
-                                                )
-                            ventry = evict_line(vline)
-                            if victim.dirty and victim.tx_writer is None:
-                                hierarchy.writebacks += 1
-                            if (
-                                victim.tx_writer is not None
-                                or victim.tx_readers
-                                or ventry is not None
-                            ) and on_llc_evict is not None:
-                                on_llc_evict(victim, ventry)
-                    meta, victims = l1_fill(line_addr)
-                    holders = l1_holders.get(line_addr)
-                    if holders is None:
-                        l1_holders[line_addr] = {core_id}
-                    else:
-                        holders.add(core_id)
-                    for victim in victims:
-                        # handle_l1_eviction, inlined
-                        vline = victim.line_addr
-                        vholders = l1_holders.get(vline)
-                        if vholders is not None:
-                            vholders.discard(core_id)
-                            if not vholders:
-                                del l1_holders[vline]
-                        llc_meta = llc_peek(vline)
-                        if llc_meta is not None:
-                            llc_meta.dirty = llc_meta.dirty or victim.dirty
-                            if victim.tx_writer is not None:
-                                llc_meta.tx_writer = victim.tx_writer
-                            if victim.tx_readers:
-                                vreaders = llc_meta.tx_readers
-                                if vreaders is None:
-                                    llc_meta.tx_readers = set(
-                                        victim.tx_readers
-                                    )
-                                else:
-                                    vreaders.update(victim.tx_readers)
-                        if (
-                            victim.tx_writer is not None
-                            and on_l1_evict is not None
-                        ):
-                            on_l1_evict(core_id, victim)
+                    meta, latency, _ = serve_l1_miss(
+                        core_id, line_addr, thread.clock_ns
+                    )
                 else:
                     latency = l1_hit_ns
                 holders = l1_holders.get(line_addr)
@@ -447,7 +251,6 @@ class BatchDispatcher:
         directory = hierarchy.directory
         l1s = hierarchy.l1s
         l1 = l1s[tx.core_id]
-        llc = hierarchy.llc
         l1_holders = hierarchy.l1_holders
         thread = tx.thread
         core_id = tx.core_id
@@ -459,22 +262,15 @@ class BatchDispatcher:
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        onchip_resolution = htm._onchip_resolution
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
-        llc_hit_ns = self._llc_hit_ns
-        dram_end = self._dram_end
-        dram_demand_ns = self._dram_demand_ns
-        demand_latency = controller.demand_access_latency
         check_access = directory.check_access
         record_access = directory.record_access
-        evict_line = directory.evict_line
-        on_l1_evict = hierarchy.on_l1_evict
-        on_llc_evict = hierarchy.on_llc_evict
+        serve_l1_miss = hierarchy.serve_l1_miss
         l1_lookup = l1.lookup
         l1_peek = l1.peek
-        l1_fill = l1.fill
-        llc_lookup = llc.lookup
-        llc_peek = llc.peek
-        llc_fill = llc.fill
+        llc_peek = hierarchy.llc.peek
         entry = htm.tss.entry(tx_id)
         read_lines = tx.read_lines
         dram_overflowed = tx.dram_overflowed_lines
@@ -503,7 +299,7 @@ class BatchDispatcher:
                 if uses_directory:
                     conflict = check_access(line_addr, tx_id, False)
                     if conflict is not None:
-                        self._onchip_resolution(tx, line_addr, False, conflict)
+                        onchip_resolution(tx, line_addr, conflict)
                 if offchip_always or (
                     offchip_on_miss
                     and l1_peek(line_addr) is None
@@ -517,83 +313,13 @@ class BatchDispatcher:
                         entry.overflowed if table2 else None,
                     )
                     if hits:
-                        self._offchip_resolution(tx, line_addr, hits)
+                        offchip_resolution(tx, line_addr, hits)
                 # -- hierarchy.access(is_write=False), fused ------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
-                    latency = llc_hit_ns
-                    if llc_lookup(line_addr) is None:
-                        if DRAM_BASE <= line_addr < dram_end:
-                            latency += dram_demand_ns
-                        else:
-                            latency += demand_latency(
-                                line_addr, thread.clock_ns + latency
-                            )
-                        _, llc_victims = llc_fill(line_addr)
-                        for victim in llc_victims:
-                            # handle_llc_eviction, inlined
-                            vline = victim.line_addr
-                            vholders = l1_holders.pop(vline, None)
-                            if vholders:
-                                for vcore in vholders:
-                                    vmeta = l1s[vcore].remove(vline)
-                                    if vmeta is not None:
-                                        victim.dirty = (
-                                            victim.dirty or vmeta.dirty
-                                        )
-                                        if vmeta.tx_writer is not None:
-                                            victim.tx_writer = vmeta.tx_writer
-                                        if vmeta.tx_readers:
-                                            vreaders = victim.tx_readers
-                                            if vreaders is None:
-                                                victim.tx_readers = set(
-                                                    vmeta.tx_readers
-                                                )
-                                            else:
-                                                vreaders.update(
-                                                    vmeta.tx_readers
-                                                )
-                            ventry = evict_line(vline)
-                            if victim.dirty and victim.tx_writer is None:
-                                hierarchy.writebacks += 1
-                            if (
-                                victim.tx_writer is not None
-                                or victim.tx_readers
-                                or ventry is not None
-                            ) and on_llc_evict is not None:
-                                on_llc_evict(victim, ventry)
-                    meta, victims = l1_fill(line_addr)
-                    holders = l1_holders.get(line_addr)
-                    if holders is None:
-                        l1_holders[line_addr] = {core_id}
-                    else:
-                        holders.add(core_id)
-                    for victim in victims:
-                        # handle_l1_eviction, inlined
-                        vline = victim.line_addr
-                        vholders = l1_holders.get(vline)
-                        if vholders is not None:
-                            vholders.discard(core_id)
-                            if not vholders:
-                                del l1_holders[vline]
-                        llc_meta = llc_peek(vline)
-                        if llc_meta is not None:
-                            llc_meta.dirty = llc_meta.dirty or victim.dirty
-                            if victim.tx_writer is not None:
-                                llc_meta.tx_writer = victim.tx_writer
-                            if victim.tx_readers:
-                                vreaders = llc_meta.tx_readers
-                                if vreaders is None:
-                                    llc_meta.tx_readers = set(
-                                        victim.tx_readers
-                                    )
-                                else:
-                                    vreaders.update(victim.tx_readers)
-                        if (
-                            victim.tx_writer is not None
-                            and on_l1_evict is not None
-                        ):
-                            on_l1_evict(core_id, victim)
+                    meta, latency, _ = serve_l1_miss(
+                        core_id, line_addr, thread.clock_ns
+                    )
                 else:
                     latency = l1_hit_ns
                 holders = l1_holders.get(line_addr)
@@ -692,34 +418,24 @@ class BatchDispatcher:
         directory = hierarchy.directory
         l1s = hierarchy.l1s
         l1 = l1s[core_id]
-        llc = hierarchy.llc
         l1_holders = hierarchy.l1_holders
         active = htm._active
         uses_directory = self._uses_directory
         offchip_always = htm._offchip_always
         offchip_on_miss = htm._offchip_on_miss_only
         offchip_conflicts = htm._offchip_conflicts
+        offchip_resolution = htm._offchip_resolution
         l1_hit_ns = self._l1_hit_ns
-        llc_hit_ns = self._llc_hit_ns
-        dram_end = self._dram_end
-        dram_demand_ns = self._dram_demand_ns
-        demand_latency = controller.demand_access_latency
         check_access = directory.check_access
-        evict_line = directory.evict_line
-        on_l1_evict = hierarchy.on_l1_evict
-        on_llc_evict = hierarchy.on_llc_evict
+        serve_l1_miss = hierarchy.serve_l1_miss
         load_word = controller.load_word
         store_word = controller.store_word
         rmw_word = controller.rmw_word
         l1_lookup = l1.lookup
         l1_peek = l1.peek
-        l1_fill = l1.fill
-        llc_lookup = llc.lookup
-        llc_peek = llc.peek
-        llc_fill = llc.fill
+        llc_peek = hierarchy.llc.peek
         abort_tx_id = htm._abort_tx_id
         non_tx_conflict = AbortReason.NON_TX_CONFLICT
-        false_positive = AbortReason.FALSE_POSITIVE
 
         for addr in addrs:
             line_addr = addr & _LINE_MASK
@@ -754,91 +470,13 @@ class BatchDispatcher:
                             domain_id, line_addr, is_write, None, None
                         )
                         if hits:
-                            htm.stats.incr("conflicts.offchip")
-                            for victim_id, is_true in hits:
-                                abort_tx_id(
-                                    victim_id,
-                                    non_tx_conflict
-                                    if is_true
-                                    else false_positive,
-                                    line_addr=line_addr,
-                                )
+                            offchip_resolution(None, line_addr, hits)
                 # -- hierarchy.access, fused (tx_id None) ---------------
                 meta = l1_lookup(line_addr)
                 if meta is None:
-                    latency = llc_hit_ns
-                    if llc_lookup(line_addr) is None:
-                        if DRAM_BASE <= line_addr < dram_end:
-                            latency += dram_demand_ns
-                        else:
-                            latency += demand_latency(
-                                line_addr, thread.clock_ns + latency
-                            )
-                        _, llc_victims = llc_fill(line_addr)
-                        for victim in llc_victims:
-                            # handle_llc_eviction, inlined
-                            vline = victim.line_addr
-                            vholders = l1_holders.pop(vline, None)
-                            if vholders:
-                                for vcore in vholders:
-                                    vmeta = l1s[vcore].remove(vline)
-                                    if vmeta is not None:
-                                        victim.dirty = (
-                                            victim.dirty or vmeta.dirty
-                                        )
-                                        if vmeta.tx_writer is not None:
-                                            victim.tx_writer = vmeta.tx_writer
-                                        if vmeta.tx_readers:
-                                            vreaders = victim.tx_readers
-                                            if vreaders is None:
-                                                victim.tx_readers = set(
-                                                    vmeta.tx_readers
-                                                )
-                                            else:
-                                                vreaders.update(
-                                                    vmeta.tx_readers
-                                                )
-                            ventry = evict_line(vline)
-                            if victim.dirty and victim.tx_writer is None:
-                                hierarchy.writebacks += 1
-                            if (
-                                victim.tx_writer is not None
-                                or victim.tx_readers
-                                or ventry is not None
-                            ) and on_llc_evict is not None:
-                                on_llc_evict(victim, ventry)
-                    meta, victims = l1_fill(line_addr)
-                    holders = l1_holders.get(line_addr)
-                    if holders is None:
-                        l1_holders[line_addr] = {core_id}
-                    else:
-                        holders.add(core_id)
-                    for victim in victims:
-                        # handle_l1_eviction, inlined
-                        vline = victim.line_addr
-                        vholders = l1_holders.get(vline)
-                        if vholders is not None:
-                            vholders.discard(core_id)
-                            if not vholders:
-                                del l1_holders[vline]
-                        llc_meta = llc_peek(vline)
-                        if llc_meta is not None:
-                            llc_meta.dirty = llc_meta.dirty or victim.dirty
-                            if victim.tx_writer is not None:
-                                llc_meta.tx_writer = victim.tx_writer
-                            if victim.tx_readers:
-                                vreaders = llc_meta.tx_readers
-                                if vreaders is None:
-                                    llc_meta.tx_readers = set(
-                                        victim.tx_readers
-                                    )
-                                else:
-                                    vreaders.update(victim.tx_readers)
-                        if (
-                            victim.tx_writer is not None
-                            and on_l1_evict is not None
-                        ):
-                            on_l1_evict(core_id, victim)
+                    meta, latency, _ = serve_l1_miss(
+                        core_id, line_addr, thread.clock_ns
+                    )
                 else:
                     latency = l1_hit_ns
                 if is_write:

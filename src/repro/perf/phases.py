@@ -1,7 +1,7 @@
 """Manual phase timers over the simulator's hot entry points.
 
 The profiler's function-level view is precise but scattered; performance
-discussions about the simulator happen in terms of five *phases*:
+discussions about the simulator happen in terms of six *phases*:
 
 * ``access`` — the cache hierarchy servicing loads and stores,
 * ``signature`` — Bloom-signature probes for off-chip conflict checks,
@@ -11,11 +11,13 @@ discussions about the simulator happen in terms of five *phases*:
 * ``epoch`` — the epoch dispatcher's fused block flushes.
 
 Whole blocks run inside the epoch dispatcher's fused loops (unless its
-dependency fence sends them down the per-op path), so the cache walk that
-would have been ``access`` time is
-attributed to ``epoch`` instead; the staging calls the fused loops still
-make (directory checks, signature probes, counter flushes) keep landing in
-their own phases because attribution is exclusive.
+dependency fence sends them down the per-op path).  ``epoch`` is what those
+loops spend themselves — L1 hits, coherence tails, per-line bookkeeping.
+An L1 miss inside a block goes through the hierarchy's shared miss path,
+which is wrapped as ``access``, and the staging calls (directory checks,
+signature probes, counter flushes) land in their own phases, because
+attribution is exclusive.  A per-op miss enters both ``access`` wrappers,
+so it counts two ``access`` calls.
 
 :class:`PhaseTimers` patches the phase entry points at *class* level
 (``StatsRegistry`` is slotted, so instances cannot be patched, and a class
@@ -65,6 +67,8 @@ class PhaseTimers:
         from ..sim.stats import Histogram, StatsRegistry
 
         self._wrap(CacheHierarchy, "access", "access")
+        # The one L1 miss path, shared by ``access`` and the fused loops.
+        self._wrap(CacheHierarchy, "serve_l1_miss", "access")
         # Every design funnels its filter probes through this one helper.
         self._wrap(designs, "_signature_hits", "signature")
         self._wrap(Directory, "check_access", "coherence")
@@ -74,9 +78,10 @@ class PhaseTimers:
         self._wrap(StatsRegistry, "record", "stats")
         self._wrap(Histogram, "record", "stats")
         # The epoch dispatcher's flushes: whole blocks run inside these
-        # three fused entry points, whose inlined cache walk would otherwise
-        # vanish from the phase totals.  Nested staging calls (directory,
-        # signatures, stats) subtract out via the exclusive-time stack.
+        # three fused entry points, whose inline L1 hits and coherence
+        # tails would otherwise vanish from the phase totals.  Nested calls
+        # (misses, directory, signatures, stats) subtract out via the
+        # exclusive-time stack.
         self._wrap(BatchDispatcher, "tx_read_block", "epoch")
         self._wrap(BatchDispatcher, "tx_write_block", "epoch")
         self._wrap(BatchDispatcher, "nontx_rmw_block", "epoch")

@@ -67,8 +67,8 @@ class System:
         # Fused epoch dispatch for block operations.  Setting ``htm.batch``
         # to None afterwards gives the per-op reference path the
         # differential tests compare against; the dispatcher's own
-        # dependency fence drops to that path whenever a tracer, capture,
-        # fault injector or bandwidth model is attached.
+        # dependency fence drops to that path whenever a trace capture or
+        # fault injector is attached.
         self.htm.batch = BatchDispatcher(self.htm, self.engine.epoch_stats)
         self.heap = TxHeap(self.controller)
         if capture_trace:

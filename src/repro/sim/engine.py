@@ -249,8 +249,7 @@ class EpochStats:
 
     ``scalar_ops`` counts operations the dependency fence forced back onto
     the per-op path; ``fences`` records why, keyed by reason
-    (``"tracer"``, ``"capture"``, ``"fault"``, ``"bandwidth"``,
-    ``"narrow"``).
+    (``"capture"``, ``"fault"``, ``"narrow"``).
     """
 
     __slots__ = ("epochs", "batched_ops", "scalar_ops", "fences")

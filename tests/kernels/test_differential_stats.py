@@ -67,7 +67,8 @@ class TestHistogramDifferential:
 
 class TestLatencyDifferential:
     def test_hit_constants_match_hierarchy_order(self):
-        # The fused dispatcher hoists the hierarchy's two hit constants, so
+        # The fused dispatcher hoists the hierarchy's L1 hit constant and
+        # sends every L1 miss through the hierarchy's own miss path, so
         # both paths charge the same floats: l1_ns, and l1_ns + llc_ns in
         # that addition order.
         latency = LatencyConfig()
@@ -75,8 +76,4 @@ class TestLatencyDifferential:
         assert system.machine.latency == latency
         hierarchy, batch = system.hierarchy, system.htm.batch
         assert hierarchy._l1_hit_ns == batch._l1_hit_ns == latency.l1_ns
-        assert (
-            hierarchy._llc_hit_ns
-            == batch._llc_hit_ns
-            == latency.l1_ns + latency.llc_ns
-        )
+        assert hierarchy._llc_hit_ns == latency.l1_ns + latency.llc_ns

@@ -173,16 +173,20 @@ def test_real_histogram_passes_same_sequence():
 # -- Latency mutant ----------------------------------------------------------
 
 
-class WrongLLCConstant(BatchDispatcher):
-    """Charges bare llc_ns for an LLC hit, forgetting the L1 traversal."""
+class WrongL1Constant(BatchDispatcher):
+    """Charges llc_ns for an L1 hit: the wrong level's latency."""
 
     def __init__(self, htm, epoch_stats):
         super().__init__(htm, epoch_stats)
-        self._llc_hit_ns = htm.machine.latency.llc_ns
+        self._l1_hit_ns = htm.machine.latency.llc_ns
 
 
 def sweep_run(mutant_cls=None):
-    """Block sweeps over more lines than an L1 holds: LLC hits galore."""
+    """Block sweeps over more lines than an L1 holds.
+
+    Each read-modify-write pair misses the L1 on its read (an LLC hit or a
+    memory access) and hits it on its write.
+    """
     system = System(MachineConfig.scaled(1 / 64, cores=2), HTMConfig())
     if mutant_cls is None:
         system.htm.batch = None  # the per-op reference
@@ -206,4 +210,4 @@ def sweep_run(mutant_cls=None):
 def test_latency_mutant_killed():
     reference = sweep_run()
     assert sweep_run(BatchDispatcher) == reference
-    assert sweep_run(WrongLLCConstant) != reference
+    assert sweep_run(WrongL1Constant) != reference

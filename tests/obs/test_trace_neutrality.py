@@ -68,11 +68,13 @@ class TestTraceGridParallel:
 class TestTraceNeutralityPerEngine:
     """The tracer sees the same simulation with or without the dispatcher.
 
-    An attached tracer fences every block onto the per-op path, so a traced
-    System and a traced per-op reference (``htm.batch`` set to None) must
-    produce the same metrics *and* the same event stream; together with the
-    traced-vs-untraced tests above this ties the untraced fused run to the
-    per-op event sequence.
+    An attached tracer does not fence blocks: the fused loops emit nothing
+    themselves, and every event a block causes comes from the code the
+    per-op walk runs too.  So a traced System and a traced per-op
+    reference (``htm.batch`` set to None) must produce the same metrics
+    *and* the same event stream; together with the traced-vs-untraced
+    tests above this ties the untraced fused run to the per-op event
+    sequence.
     """
 
     def _trace(self, spec, monkeypatch, fused):

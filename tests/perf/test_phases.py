@@ -14,6 +14,7 @@ from repro.sim.stats import Histogram, StatsRegistry
 def _phase_entry_points():
     return {
         (CacheHierarchy, "access"),
+        (CacheHierarchy, "serve_l1_miss"),
         (designs, "_signature_hits"),
         (Directory, "check_access"),
         (Directory, "record_access"),
@@ -161,7 +162,7 @@ class TestAccounting:
         reference = PhaseTimers()
         with reference:
             run_experiment(spec, instrument=per_op)
-        # The per-op reference never enters the dispatcher; its cache walk
-        # lands in ``access`` instead.
+        # The per-op reference never enters the dispatcher; its whole cache
+        # walk lands in ``access``, where the fused run charges only misses.
         assert reference.calls["epoch"] == 0
         assert reference.calls["access"] > timers.calls["access"]
